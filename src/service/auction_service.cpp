@@ -9,11 +9,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "util/rng.h"
 
 namespace sfl::service {
 
@@ -29,6 +33,14 @@ void set_nonblocking(int fd) {
 /// short enough that recovery is prompt.
 constexpr int kAcceptCooldownTicks = 50;
 
+/// Smallest bucket index table: 16 slots fill one cache line.
+constexpr std::size_t kMinIndexSlots = 16;
+
+/// Spreads sequential client ids over the bucket index.
+std::uint64_t mix_client_id(std::uint64_t client) noexcept {
+  return sfl::util::splitmix64(client);
+}
+
 }  // namespace
 
 AuctionService::AuctionService(AuctionServiceConfig config)
@@ -36,6 +48,11 @@ AuctionService::AuctionService(AuctionServiceConfig config)
   // Fail unknown mechanism keys at construction, not at the first bid —
   // and before any fd exists, so the throw cannot leak a socket.
   (void)build_market_mechanism(config_.engine);
+  // A bucket's index stores row positions in 32 bits.
+  if (config_.engine.bids_per_round >
+      std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("AuctionService: bids_per_round too large");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error(std::string("socket(): ") + std::strerror(errno));
@@ -240,10 +257,10 @@ bool AuctionService::handle_frame(Connection& conn, const Frame& frame) {
   // Transactional slate application: every row is validated against the
   // pre-frame state first, so a rejected frame (false return, connection
   // dropped) leaves no partial rows behind in any bucket, and clearing
-  // only runs once the whole slate is in.
-  frame_slots_.clear();
+  // only runs once the whole slate is in. The whole slate carries one
+  // client id, and decode already rejected a slate naming one (market,
+  // round) twice, so no two rows of a slate can land in the same bucket.
   frame_new_markets_.clear();
-  frame_touched_markets_.clear();
   frame_row_accepted_.assign(submit_scratch_.row_count(), 0);
   for (std::size_t i = 0; i < submit_scratch_.row_count(); ++i) {
     const std::uint64_t market_id = submit_scratch_.markets[i];
@@ -257,7 +274,6 @@ bool AuctionService::handle_frame(Connection& conn, const Frame& frame) {
         break;
       case BidDisposition::kAccept:
         frame_row_accepted_[i] = 1;
-        frame_slots_.emplace_back(market_id, round);
         if (markets_.find(market_id) == markets_.end()) {
           bool known = false;
           for (const std::uint64_t m : frame_new_markets_) {
@@ -279,23 +295,11 @@ bool AuctionService::handle_frame(Connection& conn, const Frame& frame) {
               row);
     bids_received_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Clearing is deferred to the end of the poll tick (clear_tick_markets):
-  // every market touched by ANY frame this tick clears through one
-  // mega-batch engine pass instead of one pass per frame.
-  tick_ready_markets_.insert(tick_ready_markets_.end(),
-                             frame_touched_markets_.begin(),
-                             frame_touched_markets_.end());
   return true;
 }
 
 AuctionService::BidDisposition AuctionService::validate_bid(
     std::uint64_t market_id, std::uint64_t round, std::uint64_t client) const {
-  // The whole slate carries one client id, so a second row naming the same
-  // (market, round) would double-bid that client into one bucket. The
-  // sender controls its own slate — this is a violation, not a race.
-  for (const auto& [m, r] : frame_slots_) {
-    if (m == market_id && r == round) return BidDisposition::kViolation;
-  }
   const auto market_it = markets_.find(market_id);
   if (market_it == markets_.end()) {
     bool created_by_frame = false;
@@ -330,10 +334,8 @@ AuctionService::BidDisposition AuctionService::validate_bid(
       // bid lost a race it could not observe.
       return BidDisposition::kIgnore;
     }
-    for (const BidRow& existing : bucket.rows) {
-      if (existing.client == client) {
-        return BidDisposition::kViolation;  // one bid per client per round
-      }
+    if (bucket.has_client(client)) {
+      return BidDisposition::kViolation;  // one bid per client per round
     }
   }
   return BidDisposition::kAccept;
@@ -347,23 +349,65 @@ void AuctionService::apply_bid(const Connection& conn, std::uint64_t market_id,
     market.mechanism = build_market_mechanism(config_.engine);
     market_it = markets_.emplace(market_id, std::move(market)).first;
   }
-  Bucket& bucket = market_it->second.pending[round];
-  bucket.rows.push_back(row);
-  bucket.row_owners.push_back(conn.id);
-  bool known_contributor = false;
-  for (const std::uint64_t id : bucket.contributor_ids) {
-    if (id == conn.id) {
-      known_contributor = true;
-      break;
-    }
-  }
-  if (!known_contributor) bucket.contributor_ids.push_back(conn.id);
+  market_it->second.pending[round].add(row, conn.id);
+  // Clearing is deferred to the end of the poll tick (clear_tick_markets):
+  // every market touched by ANY frame this tick clears through one
+  // mega-batch engine pass instead of one pass per frame.
+  tick_ready_markets_.push_back(market_id);
+}
 
-  bool touched = false;
-  for (const std::uint64_t id : frame_touched_markets_) {
-    if (id == market_id) touched = true;
+bool AuctionService::Bucket::has_client(std::uint64_t client) const noexcept {
+  if (client_index.empty()) return false;
+  const std::size_t mask = client_index.size() - 1;
+  // Terminates: the load factor is at most 1/2, so an empty slot exists.
+  for (std::size_t slot = mix_client_id(client) & mask;;
+       slot = (slot + 1) & mask) {
+    const std::uint32_t entry = client_index[slot];
+    if (entry == 0) return false;
+    if (rows[entry - 1].client == client) return true;
   }
-  if (!touched) frame_touched_markets_.push_back(market_id);
+}
+
+void AuctionService::Bucket::add(const BidRow& row, std::uint64_t owner) {
+  rows.push_back(row);
+  row_owners.push_back(owner);
+  if (contributor_ids.empty() || contributor_ids.back() != owner) {
+    contributor_ids.push_back(owner);
+  }
+  if (2 * rows.size() > client_index.size()) {
+    rebuild_index();  // doubles the table, indexing the new row too
+  } else {
+    index_row(rows.size() - 1);
+  }
+}
+
+void AuctionService::Bucket::purge(std::uint64_t owner) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (row_owners[i] == owner) continue;
+    rows[kept] = rows[i];
+    row_owners[kept] = row_owners[i];
+    ++kept;
+  }
+  if (kept == rows.size()) return;
+  rows.resize(kept);
+  row_owners.resize(kept);
+  std::erase(contributor_ids, owner);
+  rebuild_index();
+}
+
+void AuctionService::Bucket::rebuild_index() {
+  const std::size_t slots =
+      std::bit_ceil(std::max(kMinIndexSlots, 2 * rows.size()));
+  client_index.assign(slots, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) index_row(i);
+}
+
+void AuctionService::Bucket::index_row(std::size_t i) {
+  const std::size_t mask = client_index.size() - 1;
+  std::size_t slot = mix_client_id(rows[i].client) & mask;
+  while (client_index[slot] != 0) slot = (slot + 1) & mask;
+  client_index[slot] = static_cast<std::uint32_t>(i + 1);
 }
 
 void AuctionService::clear_tick_markets() {
@@ -431,11 +475,16 @@ void AuctionService::clear_tick_markets() {
       ack.total_payment = market.result.total_payment();
       ack.winner_count = market.result.winners.size();
 
+      std::vector<std::uint64_t>& contributors =
+          batch_buckets_[j].contributor_ids;
+      std::sort(contributors.begin(), contributors.end());
+      contributors.erase(std::unique(contributors.begin(), contributors.end()),
+                         contributors.end());
       // Contributors are looked up by connection id, never fd: ids are
       // never reused, so a contributor that disconnected (its fd possibly
       // already handed to a new, unrelated client) simply fails the lookup
       // instead of receiving someone else's results.
-      for (const std::uint64_t conn_id : batch_buckets_[j].contributor_ids) {
+      for (const std::uint64_t conn_id : contributors) {
         const auto conn_it = connections_.find(conn_id);
         if (conn_it == connections_.end() || conn_it->second.dead) continue;
         encode(result_scratch_, encode_scratch_);
@@ -502,14 +551,7 @@ void AuctionService::purge_connection_bids(std::uint64_t conn_id) {
   for (auto& [market_id, market] : markets_) {
     for (auto it = market.pending.begin(); it != market.pending.end();) {
       Bucket& bucket = it->second;
-      for (std::size_t i = bucket.rows.size(); i-- > 0;) {
-        if (bucket.row_owners[i] != conn_id) continue;
-        bucket.rows.erase(bucket.rows.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-        bucket.row_owners.erase(bucket.row_owners.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-      }
-      std::erase(bucket.contributor_ids, conn_id);
+      bucket.purge(conn_id);
       if (bucket.rows.empty()) {
         it = market.pending.erase(it);
       } else {

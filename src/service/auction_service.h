@@ -16,6 +16,14 @@
 // function of the bid set, bit-identical to driving the same slates through
 // the in-process engine — never a function of TCP arrival interleaving.
 //
+// Per-bid ingest cost is O(1) in the bucket size: the assembler compacts its
+// buffer amortized (not per frame), a one-row slate decodes without
+// allocating, and each bucket keeps an open-addressing index of its client
+// ids, so the one-bid-per-client-per-round check is a hash probe rather than
+// a scan of the bucket. The index grows with the bucket's rows (load factor
+// at most 1/2), so a hostile client opening many one-bid buckets cannot make
+// it allocate for bids that never arrive.
+//
 // Hostile-client containment (the PR-4 bounded-read discipline, applied
 // per connection):
 //   - reads are non-blocking and buffered through a bounded FrameAssembler:
@@ -125,7 +133,25 @@ class AuctionService {
     /// Connection id that submitted rows[i] (parallel to rows) — what lets
     /// a dropped connection's bids be purged before the round clears.
     std::vector<std::uint64_t> row_owners;
+    /// Connections to send the result to. May repeat an id until the round
+    /// clears, where it is deduplicated, so adding a row stays O(1).
     std::vector<std::uint64_t> contributor_ids;
+    /// Open-addressing (linear probing) index over rows by client id: each
+    /// slot holds a row index + 1, 0 meaning empty. A power of two, at
+    /// least twice rows.size(); it doubles as rows arrive and is rebuilt
+    /// from rows after a purge.
+    std::vector<std::uint32_t> client_index;
+
+    [[nodiscard]] bool has_client(std::uint64_t client) const noexcept;
+    /// Appends a row whose client is not yet in the bucket.
+    void add(const BidRow& row, std::uint64_t owner);
+    /// Drops every row `owner` submitted, in one stable pass.
+    void purge(std::uint64_t owner);
+
+   private:
+    void rebuild_index();
+    /// Inserts rows[i] into client_index, which must have an empty slot.
+    void index_row(std::size_t i);
   };
 
   struct MarketState {
@@ -151,8 +177,8 @@ class AuctionService {
   /// (= protocol violation; the caller drops the connection) means the
   /// frame mutated nothing.
   bool handle_frame(Connection& conn, const Frame& frame);
-  /// Validates one row against current state + the slate rows accepted so
-  /// far (frame_slots_ / frame_new_markets_). Mutates nothing.
+  /// Validates one row against current state + the markets the slate would
+  /// create so far (frame_new_markets_). Mutates nothing.
   [[nodiscard]] BidDisposition validate_bid(std::uint64_t market_id,
                                             std::uint64_t round,
                                             std::uint64_t client) const;
@@ -186,16 +212,15 @@ class AuctionService {
   RoundResult result_scratch_;
   Frame frame_scratch_;
   Frame encode_scratch_;
-  /// Per-frame validation scratch: (market, round) slots accepted so far,
-  /// markets the slate would create, markets to run clearing on.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> frame_slots_;
+  /// Per-frame validation scratch: markets the slate would create, and
+  /// which rows passed validation.
   std::vector<std::uint64_t> frame_new_markets_;
-  std::vector<std::uint64_t> frame_touched_markets_;
   std::vector<std::uint8_t> frame_row_accepted_;
 
   /// The config echo sent first on every accepted connection (encoded once).
   Frame hello_frame_;
-  /// Tick-end clearing state: markets touched this tick, and the per-batch
+  /// Tick-end clearing state: markets touched this tick (one entry per
+  /// applied bid; deduplicated at tick end), and the per-batch
   /// buckets/requests handed to clear_market_rounds (kept as members so
   /// steady-state ticks reuse their capacity).
   std::vector<std::uint64_t> tick_ready_markets_;

@@ -62,7 +62,9 @@ void FrameAssembler::condemn(std::string reason) {
 }
 
 void FrameAssembler::compact() {
-  if (consumed_ == 0) return;
+  // Each compaction moves at most as many live bytes as were consumed since
+  // the previous one, so the memmove cost is amortized O(1) per byte.
+  if (consumed_ == 0 || consumed_ < buffered_bytes()) return;
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
   consumed_ = 0;
@@ -74,14 +76,14 @@ bool FrameAssembler::feed(std::span<const std::byte> bytes) {
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
   // Validate the header as soon as it is complete — BEFORE accepting the
   // payload bytes a corrupt length field would ask for.
-  if (buffer_.size() >= kHeaderSize) {
-    if (std::string reason = header_implausible_reason(buffer_.data());
+  if (buffered_bytes() >= kHeaderSize) {
+    const std::byte* header = buffer_.data() + consumed_;
+    if (std::string reason = header_implausible_reason(header);
         !reason.empty()) {
       condemn(std::move(reason));
       return false;
     }
-    const std::uint64_t payload_len = header_payload_len(buffer_.data());
-    if (payload_len > max_frame_bytes_ - kHeaderSize) {
+    if (header_payload_len(header) > max_frame_bytes_ - kHeaderSize) {
       condemn("declared payload exceeds the frame size limit");
       return false;
     }
@@ -91,27 +93,25 @@ bool FrameAssembler::feed(std::span<const std::byte> bytes) {
 
 bool FrameAssembler::next_frame(Frame& out) {
   if (condemned_) return false;
-  compact();
-  if (buffer_.size() < kHeaderSize) return false;
-  if (std::string reason = header_implausible_reason(buffer_.data());
+  if (buffered_bytes() < kHeaderSize) return false;
+  const std::byte* header = buffer_.data() + consumed_;
+  if (std::string reason = header_implausible_reason(header);
       !reason.empty()) {
     // Reachable when a previous next_frame left the NEXT frame's bytes
     // buffered and that header is garbage.
     condemn(std::move(reason));
     return false;
   }
-  const std::uint64_t payload_len = header_payload_len(buffer_.data());
+  const std::uint64_t payload_len = header_payload_len(header);
   if (payload_len > max_frame_bytes_ - kHeaderSize) {
     condemn("declared payload exceeds the frame size limit");
     return false;
   }
   const std::size_t frame_size =
       kHeaderSize + static_cast<std::size_t>(payload_len);
-  if (buffer_.size() < frame_size) return false;
-  out.assign(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                                    frame_size));
-  consumed_ = frame_size;
-  compact();
+  if (buffered_bytes() < frame_size) return false;
+  out.assign(header, header + frame_size);
+  consumed_ += frame_size;
   return true;
 }
 

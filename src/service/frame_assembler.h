@@ -54,11 +54,18 @@ class FrameAssembler {
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
     return buffer_.size() - consumed_;
   }
+  /// Bytes held in memory: the buffered bytes plus the already-extracted
+  /// prefix that has not been compacted away yet.
+  [[nodiscard]] std::size_t held_bytes() const noexcept {
+    return buffer_.size();
+  }
 
  private:
   void condemn(std::string reason);
-  /// Drops already-extracted prefix bytes once they dominate the buffer, so
-  /// steady-state memory stays at one frame, not one session.
+  /// Drops the already-extracted prefix once it is at least as large as the
+  /// live bytes behind it, so extracting a frame never moves memory and
+  /// steady-state memory stays at about one frame plus one feed, not one
+  /// session.
   void compact();
 
   std::size_t max_frame_bytes_;

@@ -31,20 +31,21 @@ void settle_full_delivery(sfl::auction::Mechanism& mechanism,
   sfl::auction::RoundSettlement settlement;
   settlement.round = static_cast<std::size_t>(round);
   settlement.winners.reserve(result.winners.size());
+  const std::span<const sfl::auction::ClientId> ids = batch.ids();
   for (std::size_t w = 0; w < result.winners.size(); ++w) {
     const sfl::auction::ClientId client = result.winners[w];
     sfl::auction::WinnerSettlement entry;
     entry.client = client;
     entry.payment = result.payments[w];
-    // The batch is sorted by client id and a round's ids are unique, so a
-    // linear probe finds the winner's own bid row (m and n are both small
-    // per market round).
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch.ids()[i] == client) {
-        entry.bid = batch.bids()[i];
-        entry.energy_cost = batch.energy_costs()[i];
-        break;
-      }
+    // fill_canonical_batch sorted the batch by client id, so a binary
+    // search finds the winner's own bid row in O(log n). n reaches 2,048
+    // rows per market round, so a linear probe per winner would cost
+    // O(m n) per round.
+    const auto it = std::lower_bound(ids.begin(), ids.end(), client);
+    if (it != ids.end() && *it == client) {
+      const auto i = static_cast<std::size_t>(it - ids.begin());
+      entry.bid = batch.bids()[i];
+      entry.energy_cost = batch.energy_costs()[i];
     }
     entry.dropped = false;
     settlement.total_payment += entry.payment;

@@ -97,6 +97,9 @@ void decode(std::span<const std::byte> frame, SubmitBids& out) {
       throw WireError("wire: energy cost must be finite and positive");
     }
   }
+  // A single row is unique by itself: the common one-bid frame decodes
+  // without allocating.
+  if (rows < 2) return;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
   keys.reserve(rows);
   for (std::size_t i = 0; i < rows; ++i) {
@@ -124,6 +127,7 @@ void decode(std::span<const std::byte> frame, RoundResult& out) {
   for (const double p : out.payments) {
     require_finite_nonnegative(p, "payment");
   }
+  if (winners < 2) return;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
   keys.reserve(winners);
   for (const std::uint64_t w : out.winners) keys.emplace_back(w, 0);

@@ -16,6 +16,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -29,6 +30,7 @@
 #include "service/frame_assembler.h"
 #include "service/rpc_messages.h"
 #include "service/workload.h"
+#include "util/rng.h"
 
 namespace sfl::service {
 namespace {
@@ -100,16 +102,26 @@ struct TestClient {
   }
 
   bool send_bid(std::uint64_t market, std::uint64_t round, const BidRow& row) {
-    SubmitBids msg;
-    msg.client = row.client;
-    msg.markets = {market};
-    msg.rounds = {round};
-    msg.values = {row.value};
-    msg.bids = {row.bid};
-    msg.energy_costs = {row.energy_cost};
+    return send_bids(market, round, std::span<const BidRow>(&row, 1));
+  }
+
+  /// One single-row SubmitBids frame per row, coalesced into one stream.
+  bool send_bids(std::uint64_t market, std::uint64_t round,
+                 std::span<const BidRow> rows) {
+    std::vector<std::byte> stream;
     Frame frame;
-    encode(msg, frame);
-    return send_bytes(frame);
+    for (const BidRow& row : rows) {
+      SubmitBids msg;
+      msg.client = row.client;
+      msg.markets = {market};
+      msg.rounds = {round};
+      msg.values = {row.value};
+      msg.bids = {row.bid};
+      msg.energy_costs = {row.energy_cost};
+      encode(msg, frame);
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    return send_bytes(stream);
   }
 
   /// Blocks (bounded by SO_RCVTIMEO) until one complete frame arrives.
@@ -196,6 +208,17 @@ std::optional<RoundResult> drive_round(TestClient& client,
     }
   }
   return client.read_round_result();
+}
+
+/// Polls `done` every 2 ms for up to 5 s; returns its final value.
+template <typename Predicate>
+bool wait_for(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return done();
 }
 
 void expect_same_result(const RoundResult& got, const RoundResult& want) {
@@ -626,6 +649,183 @@ TEST(AuctionServiceTest, ServerHelloEchoesEngineKnobsFirstOnEveryConnection) {
   }
   service->stop();
   EXPECT_EQ(service->stats().protocol_errors, 0u);
+}
+
+TEST(AuctionServiceTest, DuplicateClientInLargeBucketKillsOnlyItsConnection) {
+  // The duplicate check is a bucket-index probe, not a scan: it must still
+  // catch a repeat client deep inside a 1,024-row bucket.
+  std::string why;
+  AuctionServiceConfig config;
+  config.engine.bids_per_round = 2048;
+  config.engine.max_winners = 64;
+  auto service = try_build_service(why, config);
+  if (service == nullptr) GTEST_SKIP() << why;
+  service->start();
+
+  WorkloadSpec spec;
+  spec.markets = 1;
+  spec.rounds_per_market = 1;
+  spec.clients = 4096;
+  spec.bids_per_round = config.engine.bids_per_round;
+  const auto reference = reference_results(spec, config.engine);
+  std::vector<BidRow> rows;
+  workload_rows(spec, 0, 0, rows);
+  const std::span<const BidRow> all(rows);
+
+  TestClient honest;
+  ASSERT_TRUE(honest.connect(service->port()));
+  ASSERT_TRUE(honest.send_bids(spec.market_id(0), 0, all.first(1024)));
+  ASSERT_TRUE(
+      wait_for([&] { return service->stats().bids_received == 1024; }));
+
+  TestClient hostile;
+  ASSERT_TRUE(hostile.connect(service->port()));
+  BidRow repeat = rows[700];
+  repeat.bid += 1.0;  // same client, different economics: still a repeat
+  ASSERT_TRUE(hostile.send_bid(spec.market_id(0), 0, repeat));
+  EXPECT_TRUE(hostile.server_closed());
+  EXPECT_EQ(service->stats().protocol_errors, 1u);
+  EXPECT_EQ(service->stats().bids_received, 1024u);
+
+  // The honest connection survives and its round clears bit-exactly.
+  ASSERT_TRUE(honest.send_bids(spec.market_id(0), 0, all.subspan(1024)));
+  const std::optional<RoundResult> result = honest.read_round_result();
+  ASSERT_TRUE(result.has_value());
+  expect_same_result(*result, reference[0][0]);
+  service->stop();
+  EXPECT_EQ(service->stats().protocol_errors, 1u);
+  EXPECT_EQ(service->stats().connections_dropped, 1u);
+}
+
+TEST(AuctionServiceTest, ExtremeAndCollidingClientIdsAreIndexedExactly) {
+  // Client ids 0 and UINT64_MAX, and ids that share one home slot of the
+  // bucket index, must each be found as duplicates and never mistaken for
+  // one another.
+  std::string why;
+  AuctionServiceConfig config;
+  config.engine = small_engine();  // 8 rows: a 16-slot index
+  auto service = try_build_service(why, config);
+  if (service == nullptr) GTEST_SKIP() << why;
+  service->start();
+
+  // The index hashes client ids with util::splitmix64. The other six ids
+  // share id 0's home slot, the table's last, so their probe chain runs
+  // through id 0 and wraps around to slot 0.
+  const auto home_slot = [](std::uint64_t id) {
+    return sfl::util::splitmix64(id) & 15;
+  };
+  ASSERT_EQ(home_slot(0), 15u);
+  std::vector<std::uint64_t> ids = {0, UINT64_MAX};
+  for (std::uint64_t id = 1; ids.size() < config.engine.bids_per_round; ++id) {
+    if (home_slot(id) == home_slot(0)) ids.push_back(id);
+  }
+  std::vector<BidRow> rows;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    rows.push_back(BidRow{.client = ids[i],
+                          .value = 1.0 + static_cast<double>(i),
+                          .bid = 0.5 + 0.1 * static_cast<double>(i),
+                          .energy_cost = 1.0});
+  }
+
+  TestClient honest;
+  ASSERT_TRUE(honest.connect(service->port()));
+  const std::span<const BidRow> all(rows);
+  ASSERT_TRUE(honest.send_bids(0, 0, all.first(rows.size() - 1)));
+  ASSERT_TRUE(wait_for(
+      [&] { return service->stats().bids_received == rows.size() - 1; }));
+
+  // Every id already in the bucket is a repeat, whatever its probe chain.
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    TestClient hostile;
+    ASSERT_TRUE(hostile.connect(service->port()));
+    ASSERT_TRUE(hostile.send_bid(0, 0, rows[i]));
+    EXPECT_TRUE(hostile.server_closed()) << "client id " << ids[i];
+  }
+  EXPECT_EQ(service->stats().protocol_errors, rows.size() - 1);
+
+  // The last colliding id is new: accepted, and the round clears exactly
+  // as the in-process engine clears the same slate.
+  ASSERT_TRUE(honest.send_bid(0, 0, rows.back()));
+  const std::optional<RoundResult> result = honest.read_round_result();
+  ASSERT_TRUE(result.has_value());
+
+  auto mechanism = build_market_mechanism(config.engine);
+  sfl::auction::CandidateBatch batch;
+  sfl::auction::MechanismResult cleared;
+  clear_market_round(*mechanism, config.engine, 0, rows, batch, cleared);
+  RoundResult want;
+  want.winners = cleared.winners;
+  want.payments = cleared.payments;
+  expect_same_result(*result, want);
+  service->stop();
+  EXPECT_EQ(service->stats().rounds_cleared, 1u);
+}
+
+TEST(AuctionServiceTest, PurgedClientsMayBidAgainFromAnotherConnection) {
+  // A dropped connection's rows leave its bucket in one stable pass and the
+  // bucket index is rebuilt: the same client ids are then NEW to the
+  // bucket, and the round clears bit-identically to the reference.
+  std::string why;
+  AuctionServiceConfig config;
+  config.engine = small_engine();
+  config.engine.bids_per_round = 64;
+  auto service = try_build_service(why, config);
+  if (service == nullptr) GTEST_SKIP() << why;
+  service->start();
+
+  WorkloadSpec spec;
+  spec.markets = 1;
+  spec.rounds_per_market = 1;
+  spec.clients = 128;
+  spec.bids_per_round = config.engine.bids_per_round;
+  const auto reference = reference_results(spec, config.engine);
+  std::vector<BidRow> rows;
+  workload_rows(spec, 0, 0, rows);
+
+  // `goner` and `stayer` interleave the first 48 rows of the bucket.
+  std::vector<BidRow> goner_rows;
+  std::vector<BidRow> stayer_rows;
+  for (std::size_t i = 0; i < 48; ++i) {
+    (i % 2 == 0 ? goner_rows : stayer_rows).push_back(rows[i]);
+  }
+  TestClient stayer;
+  ASSERT_TRUE(stayer.connect(service->port()));
+  {
+    TestClient goner;
+    ASSERT_TRUE(goner.connect(service->port()));
+    for (std::size_t i = 0; i < goner_rows.size(); ++i) {
+      ASSERT_TRUE(goner.send_bid(spec.market_id(0), 0, goner_rows[i]));
+      ASSERT_TRUE(stayer.send_bid(spec.market_id(0), 0, stayer_rows[i]));
+    }
+    ASSERT_TRUE(
+        wait_for([&] { return service->stats().bids_received == 48; }));
+  }
+  ASSERT_TRUE(
+      wait_for([&] { return service->stats().connections_dropped == 1; }));
+
+  // The rebuilt index still knows every surviving client.
+  for (const std::size_t i : {std::size_t{0}, stayer_rows.size() - 1}) {
+    TestClient repeat;
+    ASSERT_TRUE(repeat.connect(service->port()));
+    ASSERT_TRUE(repeat.send_bid(spec.market_id(0), 0, stayer_rows[i]));
+    EXPECT_TRUE(repeat.server_closed()) << "stayer row " << i;
+  }
+  EXPECT_EQ(service->stats().protocol_errors, 2u);
+
+  // `heir` re-bids the goner's client ids, then completes the round.
+  TestClient heir;
+  ASSERT_TRUE(heir.connect(service->port()));
+  ASSERT_TRUE(heir.send_bids(spec.market_id(0), 0, goner_rows));
+  ASSERT_TRUE(heir.send_bids(spec.market_id(0), 0,
+                             std::span<const BidRow>(rows).subspan(48)));
+  for (TestClient* client : {&heir, &stayer}) {
+    const std::optional<RoundResult> result = client->read_round_result();
+    ASSERT_TRUE(result.has_value());
+    expect_same_result(*result, reference[0][0]);
+  }
+  service->stop();
+  EXPECT_EQ(service->stats().protocol_errors, 2u);
+  EXPECT_EQ(service->stats().rounds_cleared, 1u);
 }
 
 TEST(AuctionServiceTest, UnknownMechanismKeyThrowsBeforeAnySocketExists) {

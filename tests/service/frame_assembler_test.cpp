@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -58,24 +59,58 @@ TEST(FrameAssemblerTest, SlowLorisByteAtATimeStaysBoundedAndCompletes) {
 }
 
 TEST(FrameAssemblerTest, CoalescedFramesComeOutOneAtATime) {
+  // 500 frames in one feed: extraction reads in place, so every frame must
+  // come out intact and in order, and nothing may stay buffered.
   FrameAssembler assembler;
-  const Frame first = encoded_submit(1);
-  const Frame second = encoded_submit(2);
-  const Frame third = encoded_submit(3);
+  std::vector<Frame> frames;
   Frame stream;
-  stream.insert(stream.end(), first.begin(), first.end());
-  stream.insert(stream.end(), second.begin(), second.end());
-  stream.insert(stream.end(), third.begin(), third.end());
+  for (std::uint64_t client = 0; client < 500; ++client) {
+    frames.push_back(encoded_submit(client));
+    stream.insert(stream.end(), frames.back().begin(), frames.back().end());
+  }
   ASSERT_TRUE(assembler.feed(stream));
 
   Frame out;
-  ASSERT_TRUE(assembler.next_frame(out));
-  EXPECT_EQ(out, first);
-  ASSERT_TRUE(assembler.next_frame(out));
-  EXPECT_EQ(out, second);
-  ASSERT_TRUE(assembler.next_frame(out));
-  EXPECT_EQ(out, third);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(assembler.next_frame(out)) << "frame " << i;
+    ASSERT_EQ(out, frames[i]) << "frame " << i;
+  }
   EXPECT_FALSE(assembler.next_frame(out));
+  EXPECT_EQ(assembler.buffered_bytes(), 0u);
+  EXPECT_FALSE(assembler.condemned());
+}
+
+TEST(FrameAssemblerTest, SustainedFourKibFeedsStayBounded) {
+  // Extraction never moves memory; the consumed prefix is compacted away
+  // once it outweighs the live bytes. Under a steady stream of 4 KiB reads
+  // the buffer must stay within two reads plus one frame, and every frame
+  // must still come out intact and in order.
+  constexpr std::size_t kChunk = 4096;
+  FrameAssembler assembler;
+  Frame stream;
+  std::size_t frame_size = 0;
+  for (std::uint64_t client = 0; client < 5000; ++client) {
+    const Frame frame = encoded_submit(client);
+    frame_size = frame.size();
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+
+  Frame out;
+  std::uint64_t next_client = 0;
+  for (std::size_t offset = 0; offset < stream.size(); offset += kChunk) {
+    const std::size_t len = std::min(kChunk, stream.size() - offset);
+    ASSERT_TRUE(assembler.feed(
+        std::span<const std::byte>(stream.data() + offset, len)));
+    ASSERT_LE(assembler.held_bytes(), 2 * kChunk + frame_size)
+        << "after feeding offset " << offset;
+    while (assembler.next_frame(out)) {
+      ASSERT_EQ(out, encoded_submit(next_client)) << "frame " << next_client;
+      ++next_client;
+    }
+    ASSERT_LT(assembler.buffered_bytes(), frame_size);
+  }
+  EXPECT_EQ(next_client, 5000u);
+  EXPECT_EQ(assembler.buffered_bytes(), 0u);
 }
 
 TEST(FrameAssemblerTest, FrameSplitAcrossFeedsPlusPartialNext) {

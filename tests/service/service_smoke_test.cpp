@@ -285,6 +285,24 @@ TEST(ServiceSmokeTest, LoadGenAgainstRealServerVerifiesAndWritesBenchJson) {
   server->stop(SIGTERM);
 }
 
+TEST(ServiceSmokeTest, LargeGeometryTierVerifiesBitExactly) {
+  // The svc-large shape: 2,048-bid rounds with m = 64, where per-bid
+  // bucket work and per-winner settlement lookups dominate. The real
+  // server must clear every round bit-identically to the in-process engine.
+  std::string why;
+  auto server = spawn_server({"--bids-per-round=2048", "--winners=64"}, why);
+  if (server == nullptr) GTEST_SKIP() << why;
+
+  const int exit_code = run_load_gen(
+      {"--port=" + std::to_string(server->port), "--clients=4096",
+       "--connections=4", "--markets=2", "--rounds=4",
+       "--bids-per-round=2048", "--winners=64", "--verify=1"});
+  if (exit_code == -1) GTEST_SKIP() << "load generator could not be spawned";
+  EXPECT_EQ(exit_code, 0) << "load gen must verify bit-exactly and exit 0";
+
+  server->stop(SIGTERM);
+}
+
 TEST(ServiceSmokeTest, MismatchedKnobsFailFastInsteadOfHangingSilently) {
   // The PR-8 bugfix regression: server clearing at 8 bids/round vs a
   // generator sending 16 used to hang until the 30 s window-guard timeout.
