@@ -118,6 +118,9 @@ RunResult SustainableFlOrchestrator::run() {
   std::vector<bool> dropped_flag;
   std::vector<std::size_t> participants;
   RoundSettlement settlement;
+  // The reputation probes' validation batch, built once for the run.
+  const std::vector<std::size_t> val_batch =
+      fl::full_batch(scenario_->validation);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     if (energy.has_value()) {
@@ -222,11 +225,12 @@ RunResult SustainableFlOrchestrator::run() {
     // loss: noisy-label clients consistently increase it (their local
     // optimum differs from the clean task), so their q-hat decays. This
     // avoids the self-correlation trap of comparing a client's update
-    // against an aggregate that contains it.
+    // against an aggregate that contains it. The probes are loss-only:
+    // Model::loss over val_batch, with no accuracy pass.
     if (!participants.empty()) {
       const std::vector<double> params_before = trainer_.parameters();
       const double base_loss =
-          fl::evaluate(trainer_.model(), scenario_->validation).loss;
+          trainer_.model().loss(scenario_->validation, val_batch);
       const fl::DetailedRound detail = trainer_.run_round_detailed(participants);
       const std::unique_ptr<fl::Model> probe = trainer_.model().clone();
       std::vector<double> probe_params(params_before.size());
@@ -235,8 +239,7 @@ RunResult SustainableFlOrchestrator::run() {
           probe_params[i] = params_before[i] + detail.updates[slot].delta[i];
         }
         probe->set_parameters(probe_params);
-        const double solo_loss =
-            fl::evaluate(*probe, scenario_->validation).loss;
+        const double solo_loss = probe->loss(scenario_->validation, val_batch);
         // Squash the validation-loss delta into a [0, 1] quality
         // observation: improvement -> above 0.5, harm -> below 0.5.
         const double quality_obs =

@@ -58,6 +58,9 @@ class Model {
 };
 
 /// Mean loss (and accuracy, when classification) over an entire dataset.
+/// The accuracy costs one more forward pass per example; callers that need
+/// only the loss call Model::loss with full_batch (built once and reused),
+/// which costs half the forward passes.
 [[nodiscard]] EvalResult evaluate(const Model& model, const data::Dataset& dataset);
 
 /// Convenience: batch spanning the whole dataset, [0, n).

@@ -1,3 +1,13 @@
+// Runtime-dispatched scoring kernels; the contract is in util/simd.h.
+//
+// Upper-state rule: every target("avx2") kernel clears the upper state
+// (_mm256_zeroupper) before any call or return into non-VEX code. Baseline
+// x86-64 code is compiled for SSE, and while the upper halves of the YMM
+// registers are dirty every SSE instruction in the process pays a
+// transition penalty. GCC emits vzeroupper on a plain return from an AVX
+// function, but not before a tail call, which it compiles to a bare jmp.
+// tests/util/simd_test.cpp reads XGETBV(1) after each kernel call to catch
+// a kernel that leaves the state dirty. NEON has no upper state.
 #include "util/simd.h"
 
 #include <cstdlib>
@@ -37,7 +47,8 @@ namespace {
 
 #if defined(SFL_SIMD_X86)
 /// 4-wide AVX2 lanes with explicit (never-contracted) mul/sub intrinsics;
-/// the <4 remainder runs through the out-of-line scalar kernel.
+/// the <4 remainder runs through the out-of-line scalar kernel, after the
+/// upper state is cleared (see the rule at the top of this file).
 __attribute__((target("avx2"))) void score_avx2(const double* values,
                                                 const double* bids,
                                                 const double* penalties,
@@ -64,6 +75,7 @@ __attribute__((target("avx2"))) void score_avx2(const double* values,
               _mm256_sub_pd(_mm256_mul_pd(wv, v), _mm256_mul_pd(wb, b)), p));
     }
   }
+  _mm256_zeroupper();
   score_scalar(values + i, bids + i,
                penalties == nullptr ? nullptr : penalties + i, out + i, n - i,
                vw, bw);

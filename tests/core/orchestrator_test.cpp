@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "auction/baselines.h"
 #include "core/long_term_online_vcg.h"
@@ -161,6 +166,60 @@ TEST(OrchestratorTest, EnergyDynamicsLimitAvailability) {
     if (r.available < 12u) some_round_limited = true;
   }
   EXPECT_TRUE(some_round_limited);  // p=0.3 harvests cannot keep everyone up
+}
+
+std::string hex_bits(double x) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
+  return buf;
+}
+
+TEST(OrchestratorTest, EnergyTrajectoryIsPinned) {
+  // Pins a short energy-on run bit for bit: the final accuracy, every
+  // client's final reputation and the summed payments. Speed changes to
+  // training, evaluation or the reputation probes must leave these bits
+  // alone. The values depend on libm exp/log (logistic loss, quality
+  // squash), so they are pinned to the CI toolchain (x86-64 Linux, GCC,
+  // glibc); a different libm may legitimately print other bits.
+  auto sspec = small_scenario_spec();
+  sspec.noisy_client_fraction = 0.25;
+  sspec.noisy_flip_probability = 0.8;
+  const sim::Scenario scenario = sim::build_scenario(sspec);
+  OrchestratorConfig config = orchestrator_config(60);
+  config.enable_energy = true;
+  config.energy.battery_capacity = 3.0;
+  config.energy.initial_charge = 2.0;
+  config.energy.harvest_amount = 1.0;
+  config.energy.harvest_probabilities = std::vector<double>(12, 0.6);
+  SustainableFlOrchestrator orchestrator(scenario, make_model(sspec),
+                                         training_spec(), make_lto(config),
+                                         config);
+  const RunResult result = orchestrator.run();
+
+  const std::uint64_t want_accuracy = 0x3fefae147ae147aeULL;  // 0.99
+  const std::uint64_t want_payment = 0x406d08ffb3e95ba7ULL;
+  const std::vector<std::uint64_t> want_reputation = {
+      0x3fe5098316143a4dULL, 0x3fe199f198c091c6ULL, 0x3fe0942ea23ca4ecULL,
+      0x3fe0cf75b17188acULL, 0x3fe0e878ce121235ULL, 0x3fe0c23ee665ab08ULL,
+      0x3fe4a4b0b4dbf766ULL, 0x3fe329a5266a2645ULL, 0x3fe5d42754dd10d8ULL,
+      0x3fd0c712cc26c728ULL, 0x3fd4f8b74347b6f3ULL, 0x3fd0cc9dabbe426eULL};
+
+  const double payment = result.cumulative_payment;
+  std::string actual = "final_accuracy " + hex_bits(result.final_accuracy) +
+                       " summed_payment " + hex_bits(payment) +
+                       "\nfinal_reputation";
+  for (const double q : result.final_reputation) actual += " " + hex_bits(q);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.final_accuracy), want_accuracy)
+      << actual;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(payment), want_payment) << actual;
+  ASSERT_EQ(result.final_reputation.size(), want_reputation.size()) << actual;
+  for (std::size_t c = 0; c < want_reputation.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.final_reputation[c]),
+              want_reputation[c])
+        << "client " << c << "\n" << actual;
+  }
 }
 
 TEST(OrchestratorTest, CsvExportMatchesRecords) {

@@ -3,7 +3,8 @@
 // auction::score bit for bit over adversarial inputs — denormals, exact
 // ties, signed zeros, large magnitudes, every tail length — with and
 // without penalties. A diverging kernel is a bug in the kernel; these
-// checks must never be loosened to a tolerance.
+// checks must never be loosened to a tolerance. On x86-64 the AVX2 kernel
+// must also return with the YMM upper state clean (XGETBV(1) bit 2 == 0).
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +20,31 @@
 #include "auction/types.h"
 #include "util/rng.h"
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace sfl::util::simd {
 namespace {
+
+#if defined(__x86_64__) || defined(_M_X64)
+/// True when XGETBV accepts ECX=1, i.e. CPUID.(EAX=0xD, ECX=1):EAX bit 2.
+bool xgetbv1_supported() {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (eax & (1u << 2)) != 0;
+}
+
+/// XINUSE bit 2: the upper halves of the YMM registers are not in their
+/// initial (zero) state. Its own target so this file needs no -mxsave.
+__attribute__((target("xsave"))) bool avx_upper_state_dirty() {
+  return (_xgetbv(1) & (1u << 2)) != 0;
+}
+#endif
 
 std::vector<ScoreKernel> available_kernels() {
   std::vector<ScoreKernel> kernels;
@@ -85,6 +109,38 @@ TEST(SimdTest, UnavailableKernelThrows) {
     EXPECT_THROW(score_span_with(k, &x, &x, nullptr, &x, 1, 1.0, 1.0),
                  std::invalid_argument);
   }
+}
+
+TEST(SimdTest, Avx2KernelLeavesUpperStateClean) {
+  // A kernel that returns with dirty YMM upper halves makes every later
+  // SSE instruction in the process pay a transition penalty; the scoring
+  // result stays right, so only the state itself shows the bug. Tail
+  // lengths 0-8 cover a pure tail, full vectors, and every remainder.
+#if defined(__x86_64__) || defined(_M_X64)
+  if (!kernel_available(ScoreKernel::kAvx2)) {
+    GTEST_SKIP() << "AVX2 is not available on this host";
+  }
+  if (!xgetbv1_supported()) {
+    GTEST_SKIP() << "XGETBV with ECX=1 is not supported on this host";
+  }
+  std::vector<double> values(8, 2.0);
+  std::vector<double> bids(8, 1.0);
+  std::vector<double> penalties(8, 0.5);
+  std::vector<double> out(8);
+  for (std::size_t n = 0; n <= 8; ++n) {
+    for (const bool with_penalties : {false, true}) {
+      score_span_with(ScoreKernel::kAvx2, values.data(), bids.data(),
+                      with_penalties ? penalties.data() : nullptr, out.data(),
+                      n, 10.0, 11.5);
+      const bool dirty = avx_upper_state_dirty();
+      EXPECT_FALSE(dirty) << "avx2 kernel left the YMM upper state dirty at n="
+                          << n << (with_penalties ? " with" : " without")
+                          << " penalties";
+    }
+  }
+#else
+  GTEST_SKIP() << "no AVX upper state on this architecture";
+#endif
 }
 
 TEST(SimdTest, AdversarialValuesMatchScoreBitForBitOnEveryKernel) {
