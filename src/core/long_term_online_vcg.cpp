@@ -74,14 +74,11 @@ double LongTermOnlineVcgMechanism::sustainability_backlog(
 void LongTermOnlineVcgMechanism::penalties_into(
     std::span<const sfl::auction::ClientId> ids,
     std::span<const double> energy_costs, Penalties& out) {
-  out.clear();
-  if (!sustainability_queues_.has_value()) return;
-  out.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    require(ids[i] < sustainability_queues_->size(),
-            "candidate id outside the configured energy-rate table");
-    out.push_back(sustainability_queues_->backlog(ids[i]) * energy_costs[i]);
+  if (!sustainability_queues_.has_value()) {
+    out.clear();
+    return;
   }
+  sustainability_queues_->scaled_backlogs_into(ids, energy_costs, out);
 }
 
 MechanismResult LongTermOnlineVcgMechanism::run_round(
@@ -276,11 +273,18 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
 
   // Validate BEFORE mutating any queue: settle() is exception-atomic, so a
   // rejected settlement can be corrected and retried without Q having
-  // already absorbed the payment arrival.
+  // already absorbed the payment arrival. The Z arrivals are staged here
+  // (ids in range, costs >= 0 and not NaN); the Q update below validates
+  // its own arrival before it moves.
   if (sustainability_queues_.has_value()) {
+    arrival_ids_.clear();
+    arrival_costs_.clear();
     for (const WinnerSettlement& w : settlement.winners) {
       require(w.client < sustainability_queues_->size(),
               "settled winner outside the configured energy-rate table");
+      require(w.energy_cost >= 0.0, "settled energy costs must be >= 0");
+      arrival_ids_.push_back(w.client);
+      arrival_costs_.push_back(w.energy_cost);
     }
   }
 
@@ -301,11 +305,7 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
     // Every auction winner's Z queue is charged, dropped or not: the pacing
     // constraint bounds how often a client is *selected*, which is also the
     // only quantity the mechanism controls.
-    settle_arrivals_.assign(sustainability_queues_->size(), 0.0);
-    for (const WinnerSettlement& w : settlement.winners) {
-      settle_arrivals_[w.client] += w.energy_cost;
-    }
-    sustainability_queues_->update_all(settle_arrivals_);
+    sustainability_queues_->update_sparse(arrival_ids_, arrival_costs_);
   }
   // Stamped only after a fully-applied settlement, so a throwing settle
   // (bad winner id) is not remembered as settled. The observe() cache is

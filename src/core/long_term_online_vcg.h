@@ -18,6 +18,12 @@
 //      winner (dropped or not): selection is what the drift bound and the
 //      pacing constraint are written on.
 //
+// The Z_i live in a flat lyapunov::QueueBank (one backlog[] and one rate[]
+// array over all clients): step 1's penalties are one gather over the
+// slate's ids, validated once per slate, and step 4 scatters the winners'
+// energy costs and updates every Z_i in one pass. With 100k paced clients
+// these two steps are per-client array work, not per-client calls.
+//
 // Steps 1-3 run on a WdpEngine against a (mechanism-owned or shared)
 // RoundScratch: the in-process ShardedWdp scores `shards` contiguous spans
 // of the CandidateBatch in parallel on the shared thread pool and merges
@@ -153,6 +159,11 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// Queue updates from the full settlement: Q sees the realized payments
   /// (or the bid proxy), each winner's Z sees its energy cost.
   ///
+  /// Exception-atomic: every winner is validated (client id inside the
+  /// energy-rate table, energy cost >= 0 and not NaN) and Q's arrival is
+  /// checked before Q or any Z moves, so a rejected settlement leaves all
+  /// queue state as it was and the corrected report can be retried.
+  ///
   /// Idempotent per round: with no new auction round opened since the
   /// last applied settlement, a re-report with the same round stamp is
   /// dropped here, and the observe() shim refuses any report once
@@ -274,8 +285,9 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   }
 
  private:
-  /// Writes Z_i(t)*e_i penalties for the slate into `out` (cleared first;
-  /// left empty when the sustainability queues are off).
+  /// Writes Z_i(t)*e_i penalties for the slate into `out` (resized to the
+  /// slate; left empty when the sustainability queues are off). An id
+  /// outside the energy-rate table throws before `out` is written.
   void penalties_into(std::span<const sfl::auction::ClientId> ids,
                       std::span<const double> energy_costs,
                       sfl::auction::Penalties& out);
@@ -314,8 +326,10 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// Leave-one-out buffers for the kVcgExternality payment rule (unused —
   /// and empty — under the critical-value rule).
   sfl::auction::OracleScratch oracle_scratch_;
-  /// Reused Z-queue arrival accumulator (settle() stays allocation-free).
-  std::vector<double> settle_arrivals_;
+  /// The settled winners' ids and energy costs, staged by settle() for the
+  /// Z update (reused, so settle() stays allocation-free).
+  std::vector<sfl::auction::ClientId> arrival_ids_;
+  std::vector<double> arrival_costs_;
 
   /// One in-flight pipelined round: its scratch lane (scores, survivors,
   /// allocation, payments, dispatched penalties) plus what the mechanism

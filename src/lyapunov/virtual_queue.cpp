@@ -40,37 +40,54 @@ void VirtualQueue::reset(double initial_backlog) {
   updates_ = 0;
 }
 
-QueueBank::QueueBank(const std::vector<double>& service_rates) {
+QueueBank::QueueBank(const std::vector<double>& service_rates)
+    : backlog_(service_rates.size(), 0.0),
+      rate_(service_rates),
+      arrivals_(service_rates.size(), 0.0) {
   require(!service_rates.empty(), "queue bank needs at least one queue");
-  queues_.reserve(service_rates.size());
   for (const double rate : service_rates) {
-    queues_.emplace_back(rate);
+    require(rate >= 0.0, "service rate must be >= 0");
   }
 }
 
-const VirtualQueue& QueueBank::queue(std::size_t index) const {
-  return queues_[checked_index(index, queues_.size(), "queue bank")];
+double QueueBank::backlog(std::size_t index) const {
+  return backlog_[checked_index(index, backlog_.size(), "queue bank")];
 }
 
-void QueueBank::update_all(const std::vector<double>& arrivals) {
-  require(arrivals.size() == queues_.size(), "one arrival per queue required");
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    queues_[i].update(arrivals[i]);
+void QueueBank::scaled_backlogs_into(std::span<const std::size_t> ids,
+                                     std::span<const double> scales,
+                                     std::vector<double>& out) const {
+  require(scales.size() == ids.size(), "one scale per gathered id required");
+  const std::size_t n = backlog_.size();
+  bool in_range = true;
+  for (const std::size_t id : ids) in_range &= id < n;
+  require(in_range, "gathered id outside the queue bank");
+  out.resize(ids.size());
+  const double* z = backlog_.data();
+  for (std::size_t k = 0; k < ids.size(); ++k) out[k] = z[ids[k]] * scales[k];
+}
+
+void QueueBank::update_sparse(std::span<const std::size_t> ids,
+                              std::span<const double> arrivals) {
+  require(arrivals.size() == ids.size(), "one arrival per id required");
+  const std::size_t n = backlog_.size();
+  bool in_range = true;
+  bool non_negative = true;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    in_range &= ids[k] < n;
+    non_negative &= arrivals[k] >= 0.0;  // false for NaN
   }
-}
+  require(in_range, "arrival id outside the queue bank");
+  require(non_negative, "queue arrivals must be >= 0");
 
-double QueueBank::backlog(std::size_t index) const { return queue(index).backlog(); }
-
-double QueueBank::max_backlog() const noexcept {
-  double best = 0.0;
-  for (const auto& q : queues_) best = std::max(best, q.backlog());
-  return best;
-}
-
-double QueueBank::total_backlog() const noexcept {
-  double sum = 0.0;
-  for (const auto& q : queues_) sum += q.backlog();
-  return sum;
+  double* a = arrivals_.data();
+  for (std::size_t k = 0; k < ids.size(); ++k) a[ids[k]] += arrivals[k];
+  // (z + a) - r exactly as VirtualQueue::update_with_service groups it: a
+  // reassociated form rounds differently and moves the payments.
+  double* z = backlog_.data();
+  const double* r = rate_.data();
+  for (std::size_t i = 0; i < n; ++i) z[i] = std::max((z[i] + a[i]) - r[i], 0.0);
+  for (const std::size_t id : ids) a[id] = 0.0;
 }
 
 }  // namespace sfl::lyapunov

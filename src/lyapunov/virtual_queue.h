@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/require.h"
@@ -46,24 +47,48 @@ class VirtualQueue {
   std::size_t updates_ = 0;
 };
 
-/// A bank of per-client virtual queues (the Z_i sustainability queues).
+/// A bank of per-client virtual queues (the Z_i sustainability queues),
+/// stored flat: one backlog[] and one rate[] array indexed by queue id, so a
+/// round's work over the bank is one gather (the penalties) and one pass
+/// (the update) rather than a call per queue. The bank keeps no per-queue
+/// statistics; VirtualQueue does, for the single budget queue.
+///
+/// Validation: every entry point checks all of its ids (and arrivals) in one
+/// pass before it writes anything, so a call that throws leaves the bank and
+/// the caller's output buffer exactly as they were. The inner loops then
+/// index the raw arrays without per-element checks.
 class QueueBank {
  public:
-  /// One queue per client with the given per-round service rates (>= 0).
+  /// One queue per entry with the given per-round service rates (>= 0),
+  /// every backlog starting at 0.
   explicit QueueBank(const std::vector<double>& service_rates);
 
-  [[nodiscard]] std::size_t size() const noexcept { return queues_.size(); }
-  [[nodiscard]] const VirtualQueue& queue(std::size_t index) const;
+  [[nodiscard]] std::size_t size() const noexcept { return backlog_.size(); }
 
-  /// Applies one round of arrivals (one entry per client, >= 0).
-  void update_all(const std::vector<double>& arrivals);
-
+  /// Backlog of queue `index` (std::out_of_range when index >= size()).
   [[nodiscard]] double backlog(std::size_t index) const;
-  [[nodiscard]] double max_backlog() const noexcept;
-  [[nodiscard]] double total_backlog() const noexcept;
+
+  /// Gathers out[k] = backlog(ids[k]) * scales[k] for every k (`out` is
+  /// resized to ids.size()). One scale per id; any id >= size() throws
+  /// std::invalid_argument before `out` is touched.
+  void scaled_backlogs_into(std::span<const std::size_t> ids,
+                            std::span<const double> scales,
+                            std::vector<double>& out) const;
+
+  /// One round for every queue: z_i <- max((z_i + a_i) - r_i, 0), where a_i
+  /// sums arrivals[k] over the k with ids[k] == i, in k order (0 for a queue
+  /// without an entry). Ids may repeat. Every id must be < size() and every
+  /// arrival >= 0 (NaN is rejected); both are checked before any queue
+  /// moves.
+  void update_sparse(std::span<const std::size_t> ids,
+                     std::span<const double> arrivals);
 
  private:
-  std::vector<VirtualQueue> queues_;
+  std::vector<double> backlog_;
+  std::vector<double> rate_;
+  /// Per-queue arrival accumulator for update_sparse: all zero between
+  /// calls, so a round writes (and re-zeroes) only the entries it touches.
+  std::vector<double> arrivals_;
 };
 
 }  // namespace sfl::lyapunov

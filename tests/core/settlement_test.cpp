@@ -3,6 +3,8 @@
 // the per-winner detail observe() lost, and keep dropout accounting exact.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "auction/adaptive_price.h"
 #include "auction/random_instance.h"
 #include "core/long_term_online_vcg.h"
@@ -272,6 +274,67 @@ TEST(SettlementTest, SettlementOutsideEnergyTableThrows) {
                                          .dropped = false}};
   settlement.total_payment = 1.0;
   EXPECT_THROW(mech.settle(settlement), std::invalid_argument);
+}
+
+TEST(SettlementTest, RejectedSettlementMovesNoQueue) {
+  // settle() validates every winner before Q or any Z moves. The bad
+  // winner comes second, after a valid one, so a settle that updated as it
+  // validated would already have charged Q (0 -> 2) and Z_0 (0 -> 0.9) when
+  // it threw, and the corrected retry would apply the round twice.
+  LtoVcgConfig config;
+  config.v_weight = 5.0;
+  config.per_round_budget = 2.5;
+  config.energy_rates.assign(4, 0.1);
+  LongTermOnlineVcgMechanism mech(config);
+  const std::vector<Candidate> candidates{
+      Candidate{.id = 0, .value = 4.0, .bid = 1.0, .energy_cost = 1.0},
+      Candidate{.id = 1, .value = 6.0, .bid = 2.0, .energy_cost = 1.0},
+      Candidate{.id = 2, .value = 5.0, .bid = 0.5, .energy_cost = 1.0},
+      Candidate{.id = 3, .value = 1.0, .bid = 0.9, .energy_cost = 1.0}};
+  RoundContext ctx;
+  ctx.max_winners = 2;
+  (void)mech.run_round(candidates, ctx);
+
+  const auto settlement_with_cost = [](double second_cost) {
+    RoundSettlement settlement;
+    settlement.round = 0;
+    settlement.total_payment = 4.5;
+    settlement.winners = {
+        WinnerSettlement{.client = 0, .bid = 1.0, .payment = 2.0,
+                         .energy_cost = 1.0, .dropped = false},
+        WinnerSettlement{.client = 2, .bid = 0.5, .payment = 2.5,
+                         .energy_cost = second_cost, .dropped = false}};
+    return settlement;
+  };
+  const auto expect_untouched = [&](const char* what) {
+    EXPECT_EQ(mech.budget_backlog(), 0.0) << what;
+    for (std::size_t client = 0; client < 4; ++client) {
+      EXPECT_EQ(mech.sustainability_backlog(client), 0.0)
+          << what << " client " << client;
+    }
+  };
+
+  EXPECT_THROW(mech.settle(settlement_with_cost(-1.0)), std::invalid_argument);
+  expect_untouched("negative energy cost");
+  EXPECT_THROW(mech.settle(settlement_with_cost(std::nan(""))),
+               std::invalid_argument);
+  expect_untouched("NaN energy cost");
+  RoundSettlement out_of_table = settlement_with_cost(1.0);
+  out_of_table.winners[1].client = 4;
+  EXPECT_THROW(mech.settle(out_of_table), std::invalid_argument);
+  expect_untouched("client outside the energy-rate table");
+  RoundSettlement negative_payment = settlement_with_cost(1.0);
+  negative_payment.total_payment = -1.0;
+  EXPECT_THROW(mech.settle(negative_payment), std::invalid_argument);
+  expect_untouched("negative total payment");
+
+  // The corrected report applies exactly once.
+  mech.settle(settlement_with_cost(1.0));
+  EXPECT_DOUBLE_EQ(mech.budget_backlog(), 2.0);  // 4.5 - 2.5
+  EXPECT_DOUBLE_EQ(mech.sustainability_backlog(0), 0.9);
+  EXPECT_EQ(mech.sustainability_backlog(1), 0.0);
+  EXPECT_DOUBLE_EQ(mech.sustainability_backlog(2), 0.9);
+  EXPECT_EQ(mech.sustainability_backlog(3), 0.0);
 }
 
 TEST(SettlementTest, DefaultSettleRoutesToObserveForLegacyMechanisms) {
